@@ -1,6 +1,8 @@
 // Benchmarks regenerating the paper's evaluation (one benchmark per
-// published table, Tables 1–10) plus the ablation benchmarks over the
-// scheduler's design choices listed in DESIGN.md §3.
+// published table, Tables 1–10) plus ablation benchmarks over the
+// scheduler's design choices: steal pattern and amount, team reuse, the
+// partitioning block size and minimum blocks per thread, and the r = 1
+// overhead.
 //
 // The table benchmarks run the same harness as cmd/tables on a reduced grid
 // so that `go test -bench=.` completes in minutes; run
@@ -111,7 +113,7 @@ func BenchmarkSortMMPar(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (DESIGN.md §3) ------------------------------------
+// --- Ablation benchmarks -----------------------------------------------------
 
 // mixedWorkload spawns a pyramid of team tasks of every size plus solo
 // leaves; used by the scheduler ablations.

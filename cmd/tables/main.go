@@ -89,7 +89,7 @@ func main() {
 			}
 		}
 		if cfg.P > runtime.NumCPU() {
-			fmt.Fprintf(os.Stderr, "note: p=%d exceeds %d CPUs; running oversubscribed (cf. DESIGN.md)\n",
+			fmt.Fprintf(os.Stderr, "note: p=%d exceeds %d CPUs; running oversubscribed\n",
 				cfg.P, runtime.NumCPU())
 		}
 		progress := os.Stderr

@@ -1,6 +1,6 @@
 // Package cilk implements a Cilk-style work-stealing scheduler, the
 // substitute for the closed-source Cilk++ runtime the paper compares against
-// (Tables 1, 2, 5, 6). See DESIGN.md §2 for the substitution rationale.
+// (Tables 1, 2, 5, 6).
 //
 // The Cilk scheduler model (Blumofe et al., "Cilk: An efficient multithreaded
 // runtime system") differs from the paper's own work-stealer in two ways this

@@ -17,7 +17,10 @@
 // refinements: per-size local queues (Refinement 1, always on), arbitrary
 // thread requirements via rounded-up teams (Refinement 2), an arbitrary
 // number of workers (Refinement 3), and optional randomized partner
-// selection (Refinement 4). See DESIGN.md for the documented deviations.
+// selection (Refinement 4). Deviations from the paper's protocol are
+// documented where they occur, such as the progress fallback of
+// fallbackScan (steal.go); internal/core/README.md documents the
+// engineering beneath the protocol.
 package core
 
 import (

@@ -4,8 +4,8 @@
 // running times over a number of repetitions plus speedups relative to the
 // best sequential implementation.
 //
-// The paper's four machines map to worker counts (8, 16, 32, 32, 64); see
-// DESIGN.md §2 for the hardware substitution rationale.
+// The paper's four machines map to worker counts (8, 16, 32, 32, 64); on a
+// host with fewer CPUs the workers run oversubscribed.
 package harness
 
 import (

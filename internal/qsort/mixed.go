@@ -195,35 +195,30 @@ func newParState[T Ordered](data []T, np, blockSize int) *parState[T] {
 // of the array, until we run out of free blocks" (§5).
 func (ps *parState[T]) phase1() {
 	defer ps.fanin.Done()
-	data, pv, B := ps.data, ps.pv, ps.block
-	var L, R *blockScan
-	acquireL := func() {
-		L = nil
-		if i, ok := ps.claim.Left(); ok {
-			L = &blockScan{lo: i * B, hi: (i + 1) * B, pos: i * B}
-		}
-	}
-	acquireR := func() {
-		R = nil
-		if i, ok := ps.claim.Right(); ok {
-			R = &blockScan{lo: i * B, hi: (i + 1) * B, pos: i * B}
-		}
-	}
-	acquireL()
-	acquireR()
-	for L != nil && R != nil {
-		neutralize(data, pv, L, R)
+	i, okL := ps.claim.Left()
+	j, okR := ps.claim.Right()
+	L, R := ps.scanOf(i), ps.scanOf(j)
+	for okL && okR {
+		neutralize(ps.data, ps.pv, &L, &R)
 		if L.exhausted() {
-			ps.neutral[L.lo/B] = true
-			acquireL()
+			ps.neutral[i] = true
+			i, okL = ps.claim.Left()
+			L = ps.scanOf(i)
 		}
 		if R.exhausted() {
-			ps.neutral[R.lo/B] = true
-			acquireR()
+			ps.neutral[j] = true
+			j, okR = ps.claim.Right()
+			R = ps.scanOf(j)
 		}
 	}
 	// At most one unfinished block per side remains non-neutral; the cleanup
 	// phase collects it from the neutral bitmap.
+}
+
+// scanOf returns a fresh neutralization scan of block b.
+func (ps *parState[T]) scanOf(b int) blockScan {
+	lo := b * ps.block
+	return blockScan{lo: lo, hi: lo + ps.block, pos: lo}
 }
 
 // cleanup runs on the team's local id 0 after all threads have deposited
@@ -252,26 +247,28 @@ func (ps *parState[T]) cleanup() int {
 		}
 	}
 	li, ri := 0, 0
-	var L, R *blockScan
-	for li < len(lrem) && ri < len(rrem) {
-		if L == nil {
-			b := lrem[li]
-			L = &blockScan{lo: b * B, hi: (b + 1) * B, pos: b * B}
+	var L, R blockScan // the zero scan is exhausted, so the loop loads a block
+	for {
+		if L.exhausted() {
+			if li == len(lrem) {
+				break
+			}
+			L = ps.scanOf(lrem[li])
 		}
-		if R == nil {
-			b := rrem[ri]
-			R = &blockScan{lo: b * B, hi: (b + 1) * B, pos: b * B}
+		if R.exhausted() {
+			if ri == len(rrem) {
+				break
+			}
+			R = ps.scanOf(rrem[ri])
 		}
-		neutralize(data, pv, L, R)
+		neutralize(data, pv, &L, &R)
 		if L.exhausted() {
 			ps.neutral[lrem[li]] = true
 			li++
-			L = nil
 		}
 		if R.exhausted() {
 			ps.neutral[rrem[ri]] = true
 			ri++
-			R = nil
 		}
 	}
 	lrem = lrem[li:]

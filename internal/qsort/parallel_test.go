@@ -192,3 +192,21 @@ func TestParallelPartitionPreservesMultiset(t *testing.T) {
 		}
 	}
 }
+
+// TestPhase1AllocsFlat pins that the team neutralization holds its block
+// scans by value: a partition of 1024 blocks allocates no more than one of
+// 4 blocks.
+func TestPhase1AllocsFlat(t *testing.T) {
+	const B = 128
+	allocs := func(nb int) float64 {
+		in := dist.Generate(dist.Random, nb*B, 3)
+		data := make([]int32, len(in))
+		return testing.AllocsPerRun(10, func() {
+			copy(data, in)
+			newParState(data, 1, B).phase1()
+		})
+	}
+	if few, many := allocs(4), allocs(1024); many > few {
+		t.Fatalf("phase1 allocations grow with the block count: %v for 4 blocks, %v for 1024", few, many)
+	}
+}

@@ -8,6 +8,11 @@ import "math/bits"
 // for a final insertion-sort pass. It is the repository's stand-in for the
 // paper's "best sequential implementation available (STL)" — the Seq/STL
 // column of every table.
+//
+// Its partitioning step is HoarePartition's branchless block partition
+// (BlockQuicksort), not libstdc++'s compare-and-branch scan, so on
+// unpredictable keys this baseline is faster than the classic std::sort
+// design; the tables' speed-up columns are measured against it.
 func Introsort[T Ordered](data []T) {
 	n := len(data)
 	if n < 2 {

@@ -150,11 +150,16 @@ func TestHoarePartitionContract(t *testing.T) {
 	}
 }
 
+// TestHoarePartitionAllEqual pins Hoare's equal-key rule, on which the
+// O(n log n) bound for constant inputs rests: the split is interior and
+// balanced, on the scalar path and on the block path.
 func TestHoarePartitionAllEqual(t *testing.T) {
-	data := make([]int32, 100)
-	s := HoarePartition(data)
-	if s <= 0 || s >= 100 {
-		t.Fatalf("all-equal split = %d, want interior", s)
+	for _, n := range []int{3, 100, 2*blockLen + 1, 10000} {
+		data := make([]int32, n)
+		s := HoarePartition(data)
+		if s < n/4 || s > n-n/4 || s <= 0 || s >= n {
+			t.Fatalf("all-equal split of %d = %d, want interior and balanced", n, s)
+		}
 	}
 }
 
@@ -197,6 +202,33 @@ func TestNeutralize(t *testing.T) {
 		}
 		if data[4+i] < 5 {
 			t.Fatalf("right element %d = %d < pivot", i, data[4+i])
+		}
+	}
+}
+
+// TestNeutralizeMultiChunk runs neutralize on blocks several blockLen
+// chunks long, where the scan that is not exhausted stops mid-block: its
+// [lo, pos) prefix must already be on the right side of the pivot.
+func TestNeutralizeMultiChunk(t *testing.T) {
+	const n = 3*blockLen + 17
+	for seed := uint64(1); seed <= 50; seed++ {
+		data := dist.Generate(dist.Random, 2*n, seed)
+		pv := data[seed%(2*n)]
+		l := &blockScan{lo: 0, hi: n, pos: 0}
+		r := &blockScan{lo: n, hi: 2 * n, pos: n}
+		neutralize(data, pv, l, r)
+		if !l.exhausted() && !r.exhausted() {
+			t.Fatalf("seed %d: neither block neutralized: l=%+v r=%+v", seed, l, r)
+		}
+		for i := l.lo; i < l.pos; i++ {
+			if data[i] > pv {
+				t.Fatalf("seed %d: left data[%d]=%d > pivot %d below pos %d", seed, i, data[i], pv, l.pos)
+			}
+		}
+		for i := r.lo; i < r.pos; i++ {
+			if data[i] < pv {
+				t.Fatalf("seed %d: right data[%d]=%d < pivot %d below pos %d", seed, i, data[i], pv, r.pos)
+			}
 		}
 	}
 }

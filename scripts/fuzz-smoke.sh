@@ -22,8 +22,11 @@ missing=()
 # agrees with the canceled state, inflight reconciles, counters balance);
 # internal/stats carries FuzzPercentile (nearest-rank vs brute-force oracle);
 # internal/query carries FuzzFilter/FuzzGroupBy/FuzzMergeJoin/FuzzPlan
-# (analytics operators and random plans vs their sequential oracles).
-fuzzDirs=(internal/core internal/dist internal/par internal/query internal/stats)
+# (analytics operators and random plans vs their sequential oracles);
+# internal/qsort carries FuzzPartition (HoarePartition and the team
+# partition at lengths that reach the block loop: split bounds and
+# multiset conservation).
+fuzzDirs=(internal/core internal/dist internal/par internal/qsort internal/query internal/stats)
 
 for dir in "${fuzzDirs[@]}"; do
   if ! grep -rEn --include='*_test.go' "${fuzzRegex}" "${dir}" >/dev/null 2>&1; then
