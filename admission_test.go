@@ -53,8 +53,8 @@ func TestRuntimeSortMany(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	if p := rt.Scheduler().Pending(); p != 0 {
-		t.Fatalf("pending = %d after all batches", p)
+	if adm := rt.Scheduler().Admission(); adm.Injected != adm.Taken+adm.Revoked {
+		t.Fatalf("admission does not reconcile after all batches: %v", adm)
 	}
 }
 
@@ -178,7 +178,7 @@ func TestSortManyCtx(t *testing.T) {
 			t.Skip("machine sorts 8x16M elements in <2ms; cannot provoke abandonment")
 		}
 	}
-	if p := rt.Scheduler().Pending(); p != 0 {
-		t.Fatalf("pending = %d after abandoned batch", p)
+	if adm := rt.Scheduler().Admission(); adm.Injected != adm.Taken+adm.Revoked {
+		t.Fatalf("admission does not reconcile after abandoned batch: %v", adm)
 	}
 }

@@ -87,8 +87,8 @@ func TestConcurrentSortsSharedScheduler(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if p := rt.Scheduler().Pending(); p != 0 {
-		t.Fatalf("pending = %d after all sorts returned", p)
+	if adm := rt.Scheduler().Admission(); adm.Injected != adm.Taken+adm.Revoked {
+		t.Fatalf("admission does not reconcile after all sorts returned: %v", adm)
 	}
 }
 

@@ -307,13 +307,16 @@ func TestAdmissionBlockedSpawnWokenByShutdown(t *testing.T) {
 }
 
 // TestWaitParksAndWakes exercises the notification path of Group.Wait and
-// Scheduler.Wait with many concurrent waiters parked on one slow task: all
-// of them must wake on completion (not rely on each other's spinning).
+// Group.Wait and Scheduler.Wait with many concurrent waiters, each parked
+// on one slow task of its group (the scheduler's default group for
+// Scheduler.Wait): all of them must wake on completion (not rely on each
+// other's spinning).
 func TestWaitParksAndWakes(t *testing.T) {
 	s := newTest(t, Options{P: 2})
 	release := make(chan struct{})
 	g := s.NewGroup()
 	g.Spawn(Solo(func(*Ctx) { <-release }))
+	s.Spawn(Solo(func(*Ctx) { <-release }))
 	const waiters = 16
 	var wg sync.WaitGroup
 	for i := 0; i < waiters; i++ {
@@ -462,9 +465,9 @@ func TestWBTrySpawnBatchPrefix(t *testing.T) {
 
 // TestWBRevokeAtTake pins the revocation interleaving deterministically:
 // admit, cancel, then drive the take by hand. The node must be revoked —
-// never run — and both the global and the per-group accounting must release
-// on the revocation path, with the admission counters attributing the node
-// to Revoked rather than Taken.
+// never run — and the per-group accounting must release on the revocation
+// path, with the admission counters attributing the node to Revoked rather
+// than Taken.
 func TestWBRevokeAtTake(t *testing.T) {
 	s := build(Options{P: 2})
 	w := s.workers[0]
@@ -482,9 +485,9 @@ func TestWBRevokeAtTake(t *testing.T) {
 	if len(order) != 0 {
 		t.Fatalf("revoked tasks ran: %v", order)
 	}
-	if g.Pending() != 0 || s.PendingInjected() != 0 || s.Pending() != 0 {
-		t.Fatalf("residue after revoke: group=%d injected=%d global=%d",
-			g.Pending(), s.PendingInjected(), s.Pending())
+	if g.Pending() != 0 || s.PendingInjected() != 0 {
+		t.Fatalf("residue after revoke: group=%d injected=%d",
+			g.Pending(), s.PendingInjected())
 	}
 	snap := s.Admission()
 	if snap.Injected != 2 || snap.Taken != 0 || snap.Revoked != 2 {

@@ -16,7 +16,8 @@ package core
 //   InjectLatency       external submission end to end: admit → take → run
 //                       → quiescence wakeup
 //   CounterContention   the in-flight accounting pair (spawn-side increment,
-//                       completion-side decrement) hammered from p workers
+//                       completion-side decrement) on one shared Group,
+//                       hammered from p workers
 //
 // The benchmarks run on tiny teams so they are meaningful on any machine;
 // wall-clock numbers are only comparable within one host, which is all the
@@ -175,10 +176,15 @@ func BenchmarkInjectLatency(b *testing.B) {
 	}
 }
 
+// BenchmarkCounterContention measures the only per-task shared write left on
+// the spawn→run path: the group's padded in-flight counter, when one group
+// spans p workers (one large request). Its cost grows with p; a sharded or
+// weight-throwing group counter must beat it.
 func BenchmarkCounterContention(b *testing.B) {
 	for _, p := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
 			s := build(Options{P: p})
+			g := s.NewGroup()
 			per := b.N/p + 1
 			var wg sync.WaitGroup
 			b.ResetTimer()
@@ -189,12 +195,12 @@ func BenchmarkCounterContention(b *testing.B) {
 					w := s.workers[id]
 					// Keep one task permanently in flight so the loop
 					// exercises the common (non-quiescing) transition.
-					w.inflightAdd(1)
+					g.inflight.Add(1)
 					for j := 0; j < per; j++ {
-						w.inflightAdd(1)
-						w.taskDone(nil)
+						g.inflight.Add(1)
+						w.taskDone(g)
 					}
-					w.taskDone(nil)
+					w.taskDone(g)
 				}(i)
 			}
 			wg.Wait()

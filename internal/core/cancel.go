@@ -247,9 +247,8 @@ func (g *Group) SpawnRetry(t Task) error {
 // Canceled reports whether the running task's group has been canceled: the
 // cooperative cancellation check. Long-running tasks poll it at recursion
 // and spawn points and return early — one atomic load, cheap enough for the
-// hot path. Group-less tasks are never canceled.
+// hot path. Group-less tasks are never canceled: their default group is
+// private to the scheduler.
 //
 //repro:noalloc polled at the recursion points of every sort kernel
-func (c *Ctx) Canceled() bool {
-	return c.group != nil && c.group.Canceled()
-}
+func (c *Ctx) Canceled() bool { return c.group.Canceled() }

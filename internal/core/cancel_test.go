@@ -75,16 +75,12 @@ func TestCancelRevokesPending(t *testing.T) {
 			t.Fatalf("WaitErr = %v, want cause", err)
 		}
 	}
-	s.Wait()
 
 	if n := ran.Load(); n != 0 {
 		t.Fatalf("%d canceled tasks executed, want 0", n)
 	}
 	if p := g.Pending(); p != 0 {
 		t.Fatalf("group Pending = %d after drain, want 0", p)
-	}
-	if p := s.Pending(); p != 0 {
-		t.Fatalf("scheduler Pending = %d after drain, want 0", p)
 	}
 	adm := s.Admission()
 	if got := adm.Revoked - before.Revoked; got != flood {
@@ -120,8 +116,8 @@ func TestCancelRejectsNewSpawns(t *testing.T) {
 	if err := g.WaitErr(); !errors.Is(err, cause) {
 		t.Fatalf("WaitErr = %v, want cause", err)
 	}
-	if g.Pending() != 0 || s.Pending() != 0 {
-		t.Fatalf("refused spawns were accounted: group=%d sched=%d", g.Pending(), s.Pending())
+	if g.Pending() != 0 || s.Admission().Injected != 0 {
+		t.Fatalf("refused spawns were accounted: group=%d injected=%d", g.Pending(), s.Admission().Injected)
 	}
 }
 
@@ -287,7 +283,6 @@ func TestGroupReset(t *testing.T) {
 	if err := g.WaitErr(); err != nil {
 		t.Fatalf("WaitErr after Reset = %v, want nil", err)
 	}
-	s.Wait()
 	if ran.Load() != 0 {
 		t.Fatalf("%d canceled-era tasks executed after Reset, want 0", ran.Load())
 	}
@@ -356,7 +351,6 @@ func TestCanceledGroupDoesNotStarveOthers(t *testing.T) {
 	}
 	stop.Store(true)
 	<-flooder
-	s.Wait()
 	if adm := s.Admission(); adm.Injected != adm.Taken+adm.Revoked {
 		t.Fatalf("admission does not reconcile: %+v", adm)
 	}
@@ -364,7 +358,8 @@ func TestCanceledGroupDoesNotStarveOthers(t *testing.T) {
 
 // FuzzCancel drives a random schedule of spawns, cancels, deadlines and
 // resets against one group and checks the structural invariants: WaitErr
-// agrees with the group's canceled state, inflight reconciles to zero, no
+// agrees with the group's canceled state (either verdict is allowed only
+// when a deadline fires during the wait), inflight reconciles to zero, no
 // task of a canceled epoch runs after its cancel was observed pre-spawn,
 // and the admission counters balance. Wired into scripts/fuzz-smoke.sh via
 // auto-discovery.
@@ -372,6 +367,7 @@ func FuzzCancel(f *testing.F) {
 	f.Add([]byte{0x01, 0x40, 0x02, 0x03}, uint8(2))
 	f.Add([]byte{0x10, 0x11, 0x12, 0x13, 0x05, 0x20}, uint8(4))
 	f.Add([]byte{0xff, 0x00, 0xfe, 0x01, 0x07}, uint8(1))
+	f.Add([]byte("0sss"), uint8(1)) // a 48 µs deadline racing the drain
 	f.Fuzz(func(t *testing.T, ops []byte, pByte uint8) {
 		p := int(pByte)%4 + 1
 		s := New(Options{P: p, MaxInject: 16, MaxPendingPerGroup: 8})
@@ -395,19 +391,19 @@ func FuzzCancel(f *testing.F) {
 				}
 			}
 		}
+		// A pending deadline may fire while WaitErr runs: only a state
+		// that flipped during the wait may end either way.
+		canceledBefore := g.Canceled()
 		err := g.WaitErr()
-		if g.Canceled() && err == nil {
+		liveAfter := !g.Canceled()
+		if canceledBefore && err == nil {
 			t.Fatal("canceled group WaitErr = nil")
 		}
-		if !g.Canceled() && err != nil {
+		if liveAfter && err != nil {
 			t.Fatalf("live group WaitErr = %v", err)
 		}
 		if g.Pending() != 0 {
 			t.Fatalf("group Pending = %d after WaitErr", g.Pending())
-		}
-		s.Wait()
-		if s.Pending() != 0 {
-			t.Fatalf("scheduler Pending = %d after drain", s.Pending())
 		}
 		if adm := s.Admission(); adm.Injected != adm.Taken+adm.Revoked {
 			t.Fatalf("admission does not reconcile: %+v", adm)

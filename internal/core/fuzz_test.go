@@ -8,8 +8,9 @@ import (
 // FuzzGroup fuzzes the per-group quiescence invariant: random spawn trees
 // are interleaved across a random number of groups on one scheduler, and
 // every group's Wait must observe all and only its own tasks — the group's
-// completion counter equals exactly the size of its spawn tree, and both
-// the group and (after all groups drained) the scheduler read zero pending.
+// completion counter equals exactly the size of its spawn tree, every group
+// reads zero pending, and (after all groups drained) the admission counters
+// reconcile.
 func FuzzGroup(f *testing.F) {
 	f.Add(uint64(1), uint8(2), uint8(3), uint8(2), uint8(2))
 	f.Add(uint64(42), uint8(5), uint8(1), uint8(3), uint8(1))
@@ -67,9 +68,8 @@ func FuzzGroup(f *testing.F) {
 					i, got, want, nr, dp, fo)
 			}
 		}
-		s.Wait()
-		if s.Pending() != 0 {
-			t.Fatalf("global pending = %d after all groups drained", s.Pending())
+		if adm := s.Admission(); adm.Injected != adm.Taken+adm.Revoked {
+			t.Fatalf("admission does not reconcile after all groups drained: %v", adm)
 		}
 	})
 }

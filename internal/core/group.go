@@ -13,8 +13,9 @@ import (
 // one scheduler serve many independent clients concurrently: with the
 // paper's r = 1 tasks the scheduler behaves like ordinary work-stealing, so
 // a group is the mixed-mode analogue of one client's fork-join computation,
-// and two clients' groups drain independently instead of waiting on the
-// scheduler's global task count.
+// and two clients' groups drain independently: each group's own counter is
+// the only task count there is (group-less Scheduler.Spawn uses the
+// scheduler's default group).
 //
 // A Group is also an admission source: its external spawns feed a private
 // FIFO inject queue that workers drain round-robin against the other
@@ -43,13 +44,13 @@ type Group struct {
 	// so the Chrome export can render each group as its own async span.
 	gid uint64
 
-	// inflight is the group's task count, updated by every completion of a
-	// task in the group. Unlike the scheduler-global count it stays a single
-	// atomic — groups are per-client, not per-task-tree-node, so the
-	// contention is bounded by one client's parallelism — but it gets its
-	// own cache line: a group counter sharing a line with the scheduler
-	// pointer (or a neighboring group in client-side slices of Groups)
-	// would put every completion's RMW on a line other CPUs read.
+	// inflight is the group's task count: one add per spawn or admission,
+	// one per completion or revocation. It is a single atomic — groups are
+	// per-client, so the contention is bounded by one client's parallelism
+	// — but it gets its own cache line: a group counter sharing a line with
+	// the scheduler pointer (or a neighboring group in client-side slices
+	// of Groups, or the Scheduler fields around its default group) would
+	// put every completion's RMW on a line other CPUs read.
 	_        [56]byte
 	inflight atomic.Int64
 	_        [56]byte
@@ -117,7 +118,7 @@ func (g *Group) Scheduler() *Scheduler { return g.s }
 // argument. In every error case the task is dropped without inflating any
 // in-flight count.
 func (g *Group) Spawn(t Task) error {
-	_, err := g.s.admitBlocking(g, &g.iq, []*node{g.s.makeNode(t, g)})
+	_, err := g.s.admitBlocking(g, []*node{g.s.makeNode(t, g)})
 	return err
 }
 
@@ -138,7 +139,7 @@ func (g *Group) SpawnBatch(ts []Task) error {
 	for i, t := range ts {
 		ns[i] = g.s.makeNode(t, g)
 	}
-	_, err := g.s.admitBlocking(g, &g.iq, ns)
+	_, err := g.s.admitBlocking(g, ns)
 	return err
 }
 
@@ -149,7 +150,7 @@ func (g *Group) SpawnBatch(ts []Task) error {
 // way to submit from latency-sensitive clients and from inside running
 // tasks.
 func (g *Group) TrySpawn(t Task) error {
-	_, err := g.s.admitTry(g, &g.iq, []*node{g.s.makeNode(t, g)})
+	_, err := g.s.admitTry(g, []*node{g.s.makeNode(t, g)})
 	return err
 }
 
@@ -170,7 +171,7 @@ func (g *Group) TrySpawnBatch(ts []Task) (int, error) {
 	for i, t := range ts {
 		ns[i] = g.s.makeNode(t, g)
 	}
-	return g.s.admitTry(g, &g.iq, ns)
+	return g.s.admitTry(g, ns)
 }
 
 // Wait blocks until the group is quiescent: every task spawned into it (and

@@ -8,10 +8,10 @@ import (
 )
 
 // TestWBGroupAccounting drives injection and execution by hand on an
-// unstarted scheduler, pinning down the exact accounting: the global
-// inflight count is the sum of the per-group counts, group counts move only
-// with their own tasks, and a drained group reads zero while another group
-// still has inflight tasks.
+// unstarted scheduler, pinning down the exact accounting: group counts move
+// only with their own tasks, the admission counters see every injected
+// task taken, and a drained group reads zero while another group still has
+// inflight tasks.
 func TestWBGroupAccounting(t *testing.T) {
 	s := stopped(2)
 	w := s.workers[0]
@@ -22,29 +22,29 @@ func TestWBGroupAccounting(t *testing.T) {
 		Solo(func(*Ctx) { ran++ }),
 		Solo(func(*Ctx) { ran++ }),
 	})
-	if ga.Pending() != 1 || gb.Pending() != 2 || s.Pending() != 3 {
-		t.Fatalf("after spawn: ga=%d gb=%d global=%d, want 1 2 3",
-			ga.Pending(), gb.Pending(), s.Pending())
+	if ga.Pending() != 1 || gb.Pending() != 2 || s.Admission().Injected != 3 {
+		t.Fatalf("after spawn: ga=%d gb=%d injected=%d, want 1 2 3",
+			ga.Pending(), gb.Pending(), s.Admission().Injected)
 	}
 	for s.takeInjected(w) {
 	}
-	if ga.Pending() != 1 || gb.Pending() != 2 || s.Pending() != 3 {
+	if ga.Pending() != 1 || gb.Pending() != 2 || s.Admission().Taken != 3 {
 		t.Fatal("injection must not change inflight counts")
 	}
 	// The inject list is FIFO and takeInjected pushes to the queue bottom,
 	// so PopTop drains in spawn order: ga's task first.
 	w.runSolo(w.queues[0].PopTop())
-	if ga.Pending() != 0 || gb.Pending() != 2 || s.Pending() != 2 {
-		t.Fatalf("after ga's task: ga=%d gb=%d global=%d, want 0 2 2",
-			ga.Pending(), gb.Pending(), s.Pending())
+	if ga.Pending() != 0 || gb.Pending() != 2 {
+		t.Fatalf("after ga's task: ga=%d gb=%d, want 0 2",
+			ga.Pending(), gb.Pending())
 	}
 	// ga is quiescent — its Wait returns immediately — while gb still has
 	// inflight tasks.
 	ga.Wait()
 	w.runSolo(w.queues[0].PopTop())
 	w.runSolo(w.queues[0].PopTop())
-	if gb.Pending() != 0 || s.Pending() != 0 || ran != 3 {
-		t.Fatalf("after drain: gb=%d global=%d ran=%d", gb.Pending(), s.Pending(), ran)
+	if adm := s.Admission(); gb.Pending() != 0 || adm.Injected != adm.Taken+adm.Revoked || ran != 3 {
+		t.Fatalf("after drain: gb=%d admission=%v ran=%d", gb.Pending(), adm, ran)
 	}
 }
 
@@ -68,15 +68,19 @@ func TestWBGroupInheritance(t *testing.T) {
 		t.Fatalf("child must inherit the group: pending = %d, want 1", g.Pending())
 	}
 	w.runSolo(w.queues[0].PopTop())
-	if g.Pending() != 0 || s.Pending() != 0 {
-		t.Fatalf("after drain: group=%d global=%d", g.Pending(), s.Pending())
+	if g.Pending() != 0 {
+		t.Fatalf("after drain: group=%d", g.Pending())
 	}
-	// Group-less external spawns have no group and do not touch g.
+	// Group-less external spawns count in the scheduler's default group,
+	// which they cannot see, and do not touch g.
 	s.Spawn(Solo(func(ctx *Ctx) {
 		if ctx.Group() != nil {
 			t.Error("group-less task sees a group")
 		}
 	}))
+	if g.Pending() != 0 || s.Pending() != 1 {
+		t.Fatalf("group-less spawn: group=%d default=%d, want 0 1", g.Pending(), s.Pending())
+	}
 	s.takeInjected(w)
 	w.runSolo(w.queues[0].PopTop())
 	if g.Pending() != 0 || s.Pending() != 0 {
@@ -102,9 +106,9 @@ func TestWBSpawnBatchValidatesBeforeAccounting(t *testing.T) {
 			&badTask{},   // Threads() = 0: rejected
 		})
 	}()
-	if g.Pending() != 0 || s.Pending() != 0 {
-		t.Fatalf("panicking batch leaked counts: group=%d global=%d",
-			g.Pending(), s.Pending())
+	if g.Pending() != 0 || s.Admission().Injected != 0 {
+		t.Fatalf("panicking batch leaked counts: group=%d injected=%d",
+			g.Pending(), s.Admission().Injected)
 	}
 	g.Wait() // must return immediately, nothing was accounted
 }
@@ -173,18 +177,20 @@ func TestGroupWaitIndependence(t *testing.T) {
 	}
 	close(release)
 	<-waitReturned
-	s.Wait() // global quiescence still works
-	if s.Pending() != 0 {
-		t.Fatalf("global pending = %d after all groups drained", s.Pending())
+	if ga.Pending() != 0 || gb.Pending() != 0 {
+		t.Fatalf("pending after both groups drained: ga=%d gb=%d", ga.Pending(), gb.Pending())
+	}
+	if adm := s.Admission(); adm.Injected != adm.Taken+adm.Revoked {
+		t.Fatalf("admission does not reconcile: %v", adm)
 	}
 }
 
 // TestGroupInterleavedLifecycles runs several rounds of overlapping group
 // lifecycles (spawn trees into many live groups, wait in shifting order,
 // reuse drained groups) and checks that the scheduler's counters end
-// consistent: every group and the global count at zero, and the worker
-// statistics accounting every solo task exactly once (Spawns == TasksRun;
-// steal transfers move queued nodes without re-counting them).
+// consistent: every group at zero, the admission counters reconciled, and
+// the worker statistics accounting every solo task exactly once (Spawns ==
+// TasksRun; steal transfers move queued nodes without re-counting them).
 func TestGroupInterleavedLifecycles(t *testing.T) {
 	s := newTest(t, Options{P: 4})
 	const (
@@ -223,8 +229,8 @@ func TestGroupInterleavedLifecycles(t *testing.T) {
 	if got := total.Load(); got != want {
 		t.Fatalf("ran %d tasks, want %d", got, want)
 	}
-	if s.Pending() != 0 {
-		t.Fatalf("global pending = %d", s.Pending())
+	if adm := s.Admission(); adm.Injected != adm.Taken+adm.Revoked {
+		t.Fatalf("admission does not reconcile: %v", adm)
 	}
 	// Every solo task ran exactly once and entered the queues exactly once:
 	// the injected roots as inject takes, the interior children as spawns
@@ -269,9 +275,8 @@ func TestGroupTeamTasks(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	s.Wait()
-	if s.Pending() != 0 {
-		t.Fatalf("global pending = %d", s.Pending())
+	if adm := s.Admission(); adm.Injected != adm.Taken+adm.Revoked {
+		t.Fatalf("admission does not reconcile: %v", adm)
 	}
 }
 
@@ -291,7 +296,7 @@ func TestSchedulerRunIsOneShotGroup(t *testing.T) {
 	if got := ran.Load(); got != 100 {
 		t.Fatalf("Run returned before its tree drained: ran = %d, want 100", got)
 	}
-	if s.Pending() != 0 {
-		t.Fatalf("pending = %d after Run", s.Pending())
+	if adm := s.Admission(); adm.Injected != adm.Taken+adm.Revoked {
+		t.Fatalf("admission does not reconcile after Run: %v", adm)
 	}
 }

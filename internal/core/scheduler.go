@@ -33,10 +33,11 @@ type Options struct {
 	// min(size/2, 2^ℓ) (ablation knob).
 	StealOne bool
 	// MaxPendingPerGroup bounds the number of admitted-but-not-yet-started
-	// external tasks of one submission source (a Group, or the catch-all
-	// queue of group-less Scheduler.Spawn). A blocking spawn over the bound
-	// parks until workers drain the source's inject queue; TrySpawn returns
-	// ErrSaturated instead. 0 means unbounded.
+	// external tasks of one submission source (a Group, including the
+	// scheduler's default group behind group-less Scheduler.Spawn). A
+	// blocking spawn over the bound parks until workers drain the source's
+	// inject queue; TrySpawn returns ErrSaturated instead. 0 means
+	// unbounded.
 	MaxPendingPerGroup int
 	// MaxInject bounds the total admitted-but-not-yet-started external tasks
 	// across all sources — the scheduler-wide backpressure knob for a flood
@@ -91,10 +92,10 @@ type Scheduler struct {
 	topo    *topo.Topology
 	workers []*worker
 
-	// shards[i] is worker i's slice of the global in-flight count; the last
-	// shard belongs to the external submission path (see inflight.go).
-	shards []inflightShard
-	qz     quiesce // parks Wait on the in-flight zero transition
+	// dflt is the default group: the quiescence domain and admission
+	// source of group-less Scheduler.Spawn. Every task therefore belongs to
+	// some group, and a group's padded inflight is the only task count.
+	dflt   Group
 	gen    atomic.Uint64
 	done   atomic.Bool
 	doneCh chan struct{} // closed by Shutdown; wakes parked waiters
@@ -135,14 +136,7 @@ type Scheduler struct {
 	admitWaiters int        // spawners parked on admitCond
 	ringHead     *injectQ   // next non-empty source to drain (circular list)
 	ringLen      int        // non-empty sources in the ring (diagnostics)
-	noGroupQ     injectQ    // source for group-less Scheduler.Spawn
 	admit        stats.Admission
-
-	// waiterScans counts quiescence sum-scans run by external waiters
-	// (Scheduler.Wait); scans run on worker completion paths land on the
-	// per-worker stats.QuiesceScans counters instead, so the hot path never
-	// writes this shared line.
-	waiterScans atomic.Int64
 
 	// Named groups (NewNamedGroup), tracked for the per-group metrics
 	// gauges; anonymous groups are not tracked.
@@ -182,7 +176,7 @@ func build(opts Options) *Scheduler {
 		born:   time.Now(),
 	}
 	s.admitCond = sync.NewCond(&s.admitMu)
-	s.shards = make([]inflightShard, opts.P+1)
+	s.dflt.s = s // gid 0 marks group-less work in traces
 	s.workers = make([]*worker, opts.P)
 	for i := range s.workers {
 		s.workers[i] = newWorker(s, i)
@@ -213,10 +207,11 @@ func (s *Scheduler) P() int { return s.topo.P }
 // blocks that fit inside the worker id space).
 func (s *Scheduler) MaxTeam() int { return s.topo.MaxTeam }
 
-// Spawn submits a task from outside the scheduler, belonging to no group.
-// It is safe for concurrent use. Inside a running task, use Ctx.Spawn
-// instead (it is cheaper and preserves depth-first order); to give the task
-// its own quiescence domain, spawn through a Group instead.
+// Spawn submits a task from outside the scheduler into its default group,
+// the quiescence domain of every group-less spawn. It is safe for
+// concurrent use. Inside a running task, use Ctx.Spawn instead (it is
+// cheaper and preserves depth-first order); to give the task its own
+// quiescence domain, spawn through a Group instead.
 //
 // With admission bounds configured (Options.MaxPendingPerGroup/MaxInject),
 // Spawn blocks while the bounds leave no room. It returns nil once the task
@@ -224,49 +219,30 @@ func (s *Scheduler) MaxTeam() int { return s.topo.MaxTeam }
 // task is then dropped without ever being accounted in-flight (see
 // Shutdown). Group-less tasks cannot be canceled; spawn through a Group for
 // deadline/cancellation support.
-func (s *Scheduler) Spawn(t Task) error {
-	_, err := s.admitBlocking(nil, &s.noGroupQ, []*node{s.makeNode(t, nil)})
-	return err
-}
+func (s *Scheduler) Spawn(t Task) error { return s.dflt.Spawn(t) }
 
-// Wait blocks until all spawned tasks (and their descendants) have
-// completed — global quiescence across every group. Per-client callers
-// should prefer Group.Wait, which is not delayed by other clients' tasks.
-// Waiters park on a completion notification (no busy-waiting, however many
-// clients wait concurrently). If the scheduler is shut down while tasks are
-// outstanding, Wait returns early — the tasks are abandoned (see Shutdown)
-// and would never drain.
-func (s *Scheduler) Wait() {
-	for {
-		if s.done.Load() || s.waiterScan() {
-			return
-		}
-		ch := s.qz.gate()
-		if s.done.Load() || s.waiterScan() {
-			return
-		}
-		select {
-		case <-ch:
-		case <-s.doneCh:
-		}
-	}
-}
+// Wait blocks until every task submitted with Spawn (and its descendants)
+// has completed. It waits for group-less spawns only: tasks of other
+// groups, including Run's one-shot groups, are waited for by their own
+// Group.Wait. Like Group.Wait it parks on a completion notification and
+// returns early if the scheduler is shut down while tasks are outstanding
+// (they are abandoned; see Shutdown).
+func (s *Scheduler) Wait() { s.dflt.Wait() }
 
 // Run submits t as a one-shot group and waits for that group's quiescence:
 // it returns when t and all its descendants have completed (nil), or
-// ErrShutdown if the scheduler shut down first. For a single client this is
-// indistinguishable from waiting for global quiescence; with several
-// concurrent clients on one scheduler, each Run waits only for its own task
-// tree.
+// ErrShutdown if the scheduler shut down first. With several concurrent
+// clients on one scheduler, each Run waits only for its own task tree.
 func (s *Scheduler) Run(t Task) error {
 	return s.NewGroup().Run(t)
 }
 
-// Shutdown stops all workers. Outstanding tasks are abandoned; call Wait
-// first for a clean drain. Spawners parked on admission backpressure are
-// woken and their unadmitted tasks dropped; submissions after Shutdown has
-// returned are guaranteed no-ops. Shutdown is idempotent and blocks until
-// all worker goroutines have exited.
+// Shutdown stops all workers. Outstanding tasks are abandoned; for a clean
+// drain, first call Wait (group-less spawns) and each Group's Wait.
+// Spawners parked on admission backpressure are woken and their unadmitted
+// tasks dropped; submissions after Shutdown has returned are guaranteed
+// no-ops. Shutdown is idempotent and blocks until all worker goroutines
+// have exited.
 func (s *Scheduler) Shutdown() {
 	if s.done.CompareAndSwap(false, true) {
 		close(s.doneCh)
@@ -310,31 +286,10 @@ func (s *Scheduler) AdmissionWait() stats.HistSnapshot { return s.admitWait.Snap
 // of the repro_uptime_seconds metric.
 func (s *Scheduler) Uptime() time.Duration { return time.Since(s.born) }
 
-// waiterScan runs one counted quiescence scan on behalf of an external
-// waiter. Waiters are off the task hot path, so the shared counter is fine
-// here; worker-side scans (taskDone) count on the worker's own stats line.
-func (s *Scheduler) waiterScan() bool {
-	s.waiterScans.Add(1)
-	return s.quiescent()
-}
-
-// QuiesceScans returns the total number of quiescence sum-scans run so far,
-// across worker completion paths and external waiters. Scans are elided
-// entirely while no waiter is parked, so this also measures how often the
-// armed-gate optimization actually fires.
-func (s *Scheduler) QuiesceScans() int64 {
-	total := s.waiterScans.Load()
-	for _, w := range s.workers {
-		total += w.st.QuiesceScans.Load()
-	}
-	return total
-}
-
-// Pending returns the current number of in-flight tasks (racy; for tests
-// and diagnostics — individual shard reads are atomic but the sum is not a
-// single snapshot, so a live scheduler may even report a transient
-// negative; it is exact when nothing is running).
-func (s *Scheduler) Pending() int64 { return s.inflightSum() }
+// Pending returns the number of in-flight group-less tasks — those
+// submitted with Spawn, and their descendants (racy; for tests and
+// diagnostics). Each Group reports its own tasks through Group.Pending.
+func (s *Scheduler) Pending() int64 { return s.dflt.Pending() }
 
 // validateReq panics on an invalid thread requirement — before any node is
 // fetched or accounted, so a panicking spawn never leaks an inflight count.
@@ -351,7 +306,7 @@ func (s *Scheduler) validateReq(r int) {
 // makeNode validates t's thread requirement and wraps it (recycling a
 // pooled node) for the external submission path, without accounting it
 // in-flight: external tasks are accounted at admission (enqueueLocked),
-// under admitMu, against the external in-flight shard.
+// under admitMu.
 func (s *Scheduler) makeNode(t Task, g *Group) *node {
 	r := t.Threads()
 	s.validateReq(r)
@@ -360,40 +315,16 @@ func (s *Scheduler) makeNode(t Task, g *Group) *node {
 	return n
 }
 
-// taskDone marks one task of group g (nil for group-less tasks) as
-// completed, on the completing worker's own in-flight shard. A task's
-// children are accounted before its own completion is reported, so a count
-// of zero really means quiescence. The global shard is decremented first: a
-// client returning from Group.Wait (the group count hitting zero) must
-// never observe its own finished tasks still in Scheduler.Pending. The
-// global quiescence scan runs only when a waiter is actually parked
-// (qz.armed); the per-group counter keeps its exact zero-transition
-// release — groups are per-client, not per-task-tree-node, so its line is
-// not globally contended.
+// taskDone marks one task of group g as completed. A task's children are
+// accounted before its own completion is reported, so a count of zero
+// really means quiescence, and the goroutine that drops it there releases
+// the group's waiters.
 func (w *worker) taskDone(g *Group) {
-	w.inflightAdd(-1)
-	s := w.sched
-	if s.qz.armed() {
-		w.st.QuiesceScans.Add(1) // owner-only line: no shared write added
-		q := s.quiescent()
-		if xt := s.xt; xt.Enabled() {
-			var x uint32
-			if q {
-				x = 1
-			}
-			xt.Record(w.id, trace.EvQuiesceScan, w.id, x, 0)
+	if g.inflight.Add(-1) == 0 {
+		if xt := w.sched.xt; xt.Enabled() {
+			xt.Record(w.id, trace.EvGroupDone, w.id, uint32(g.gid), 0)
 		}
-		if q {
-			s.qz.release()
-		}
-	}
-	if g != nil {
-		if g.inflight.Add(-1) == 0 {
-			if xt := s.xt; xt.Enabled() {
-				xt.Record(w.id, trace.EvGroupDone, w.id, uint32(g.gid), 0)
-			}
-			g.qz.release()
-		}
+		g.qz.release()
 	}
 }
 

@@ -47,7 +47,8 @@ type Task interface {
 }
 
 // node is the queue entry wrapping a task; r caches Threads(); group is the
-// quiescence group the task was spawned into (nil for group-less tasks).
+// quiescence group the task was spawned into (the scheduler's default group
+// for group-less tasks).
 // tid is the trace id of the event that created the task (0 while tracing is
 // off); enq is the admission timestamp (trace.Now) of externally submitted
 // tasks, consumed by the scheduler's admission-wait histogram at take time.
@@ -94,7 +95,7 @@ type Ctx struct {
 	w       *worker
 	exec    *teamExec // nil for r = 1 executions
 	localID int
-	group   *Group // quiescence group of the running task (nil for group-less)
+	group   *Group // quiescence group of the running task
 }
 
 // Spawn pushes t onto the executing worker's local queue for the level
@@ -106,11 +107,17 @@ type Ctx struct {
 func (c *Ctx) Spawn(t Task) { c.w.spawn(t, c.group) }
 
 // Group returns the quiescence group the running task belongs to, or nil
-// for tasks spawned outside any group (Scheduler.Spawn). Tasks spawned via
-// Ctx.Spawn inherit it automatically; it is exposed so a task can hand its
-// group to helpers that spawn on the task's behalf (the Group forms of the
-// sorting packages).
-func (c *Ctx) Group() *Group { return c.group }
+// for tasks spawned outside any group (Scheduler.Spawn), whose default
+// group stays private so no client can cancel it. Tasks spawned via
+// Ctx.Spawn inherit the group automatically; it is exposed so a task can
+// hand its group to helpers that spawn on the task's behalf (the Group
+// forms of the sorting packages).
+func (c *Ctx) Group() *Group {
+	if c.group == &c.w.sched.dflt {
+		return nil
+	}
+	return c.group
+}
 
 // LocalID returns this worker's id within the task's team, 0 … TeamSize()−1.
 // It is 0 for single-threaded tasks.

@@ -18,7 +18,7 @@ func stopped(p int) *Scheduler {
 	return build(Options{P: p})
 }
 
-func (w *worker) push(t Task) { w.spawn(t, nil) } // test helper
+func (w *worker) push(t Task) { w.spawn(t, &w.sched.dflt) } // test helper
 
 func TestWBInitialState(t *testing.T) {
 	s := stopped(8)
@@ -169,7 +169,7 @@ func TestWBMemberStepPickup(t *testing.T) {
 		t.Fatal("fix CAS")
 	}
 	n := coord.queues[1].PopBottom()
-	exec := &teamExec{task: n.task, teamSize: 2, width: 2, coordID: 0, gen: s.nextGen()}
+	exec := &teamExec{task: n.task, group: n.group, teamSize: 2, width: 2, coordID: 0, gen: s.nextGen()}
 	exec.started.Store(1)
 	exec.done.Store(2)
 	exec.barrier = teamsync.NewBarrier(1) // member-side run only in this test

@@ -20,7 +20,7 @@ import (
 // members pick up but do not run).
 type teamExec struct {
 	task     Task
-	group    *Group // quiescence group of the task (nil for group-less)
+	group    *Group // quiescence group of the task
 	teamSize int    // power-of-two team size
 	width    int    // actual thread requirement r ≤ teamSize
 	coordID  int
@@ -52,14 +52,10 @@ type worker struct {
 	teamed   bool   // member of a fixed team
 	lastGen  uint64 // generation of the last picked-up team execution
 
-	// Owner-only hot-path state: this worker's in-flight shard with its
-	// plain-value mirrors (see inflight.go), and the node free list (see
+	// Owner-only hot-path state: the node and context free lists (see
 	// nodepool.go).
-	shard       *inflightShard
-	countMirror int64
-	stampMirror uint64
-	free        []*node
-	ctxFree     []*Ctx
+	free    []*node
+	ctxFree []*Ctx
 
 	// freeLen mirrors len(free) for concurrent readers (metrics gauges,
 	// DumpState): the owner stores it after every free-list mutation — a
@@ -79,7 +75,6 @@ func newWorker(s *Scheduler, id int) *worker {
 	w := &worker{
 		id:       id,
 		sched:    s,
-		shard:    &s.shards[id],
 		free:     make([]*node, 0, nodeFreeCap),
 		rngState: s.opts.Seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15,
 	}
@@ -126,8 +121,8 @@ func (w *worker) partnerAt(l int) *worker {
 
 // spawn pushes a new task of group g onto the local queues (Ctx.Spawn).
 // This is the steady-state interior hot path: the node comes from the
-// worker's free list, the accounting touches only the worker's own
-// in-flight shard, and nothing is allocated — the r = 1 spawn really does
+// worker's free list, the accounting is one add on the group's padded
+// in-flight counter, and nothing is allocated — the r = 1 spawn really does
 // cost no more than classical work-stealing.
 //
 //repro:noalloc the r = 1 spawn path is the paper's zero-overhead claim; TestSpawnZeroAlloc pins it
@@ -141,10 +136,7 @@ func (w *worker) spawn(t Task, g *Group) {
 	}
 	// Accounting happens before the node becomes visible in any queue, so
 	// no Wait can observe a transient zero while the task tree still grows.
-	w.inflightAdd(1)
-	if g != nil {
-		g.inflight.Add(1)
-	}
+	g.inflight.Add(1)
 	w.st.Spawns.Add(1)
 	w.pushNode(n)
 }

@@ -119,7 +119,7 @@ func TestAnalyzersOnTestdata(t *testing.T) {
 func TestManifestRoundTrip(t *testing.T) {
 	recs := []Record{
 		{PkgPath: "repro/internal/core", Decl: "(*worker).spawn", Kind: KindNoAlloc},
-		{PkgPath: "repro/internal/core", Decl: "inflightShard", Kind: KindPadded},
+		{PkgPath: "repro/internal/core", Decl: "(*worker).pushNode", Kind: KindNoAlloc},
 		{PkgPath: "repro/internal/par", Decl: "Reducer[...].Reduce", Kind: KindBarrier},
 		{PkgPath: "repro/internal/par", Decl: "Reducer[...].Reduce", Kind: KindBarrier},
 	}

@@ -6,8 +6,8 @@ import (
 )
 
 // Seqlock enforces the odd-before/even-after stamp discipline on fields
-// annotated //repro:seqlock: the sharded in-flight counter, the stats
-// histogram shards and the trace ring slots all bracket their updates
+// annotated //repro:seqlock: the stats histogram shards and the trace ring
+// slots both bracket their updates
 // between two stamp writes (odd while the protected fields are torn, even
 // once they are stable), and their readers prove snapshot consistency from
 // exactly that bracket. A writer that returns mid-bracket, writes the

@@ -15,17 +15,15 @@ import (
 // Observe is allocation-free and — when callers honor the sharding
 // contract — contention-free: the histogram is split into cache-line-padded
 // shards, and each concurrent writer (a worker, a client goroutine) records
-// into its own shard, exactly like the scheduler's sharded in-flight
-// counter. A shard index outside [0, shards) is reduced modulo the shard
-// count, so callers may pass any stable per-writer integer (a worker id, a
-// round-robin ticket). Writers that do collide on one shard stay correct —
+// into its own shard. A shard index outside [0, shards) is reduced modulo
+// the shard count, so callers may pass any stable per-writer integer (a
+// worker id, a round-robin ticket). Writers that do collide on one shard stay correct —
 // bucket counts are atomic adds and the sum is CAS-accumulated — they only
 // contend on the shard's cache lines.
 //
-// The read path (Snapshot) is modeled on the seqlock-stamped quiescence
-// scan of internal/core: each Observe brackets its updates between two
-// stamp increments (odd while in progress), and Snapshot sums all shards
-// twice, accepting the result only if no stamp was odd and the stamp total
+// The read path (Snapshot) is seqlock-validated: each Observe brackets its
+// updates between two stamp increments (odd while in progress), and
+// Snapshot sums all shards twice, accepting the result only if no stamp was odd and the stamp total
 // did not move between the passes — which proves it observed every shard at
 // one instant. Under sustained concurrent writes validation is retried a
 // few times and then degrades to a best-effort (per-field-atomic) read; see

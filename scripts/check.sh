@@ -98,7 +98,7 @@ metrics_smoke() {
 
 echo "check: metrics exposition smoke (/metrics scraped mid-run)"
 metrics_smoke sort -retry 5s -monotonic 1s \
-  -require repro_sched_steals_total,repro_sched_inject_takes_total,repro_sched_quiesce_scans_total,repro_admission_injected_total,repro_admission_wait_seconds_count,repro_uptime_seconds,repro_worker_state_samples_total,repro_trace_events_total,repro_group_pending_sorts,repro_sort_latency_seconds_bucket,repro_canceled_total,repro_revoked_total,repro_spawn_timeouts_total \
+  -require repro_sched_steals_total,repro_sched_inject_takes_total,repro_admission_injected_total,repro_admission_wait_seconds_count,repro_uptime_seconds,repro_worker_state_samples_total,repro_trace_events_total,repro_group_pending_sorts,repro_sort_latency_seconds_bucket,repro_canceled_total,repro_revoked_total,repro_spawn_timeouts_total \
   -- -clients 4 -sizes 65536 -dists random -algos mmpar,fork -duration 3s -profile-hz 199
 
 echo "check: trace export smoke (-trace-out validated by tracecheck)"

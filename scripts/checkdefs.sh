@@ -6,16 +6,19 @@
 # admission-control and quiescence tests (the whitebox/flood admission tests
 # and spawn-vs-shutdown races in ./internal/core, the Runtime-level
 # bounded-flood and SortMany tests in the root package) plus the hot-path
-# recycling machinery: the node/ctx free lists and the sharded in-flight scan
-# in ./internal/core, the owner-pop slot clearing in ./internal/deque, the
+# recycling machinery: the node/ctx free lists and the per-group in-flight
+# counters in ./internal/core, the owner-pop slot clearing in ./internal/deque, the
 # pooled spawn wrappers of the three sorting packages, the team-collective
 # analytics operators in ./internal/query (barrier-separated phases over
 # shared state), the seqlock-stamped histogram/registry read paths in
 # ./internal/stats, the seqlock-stamped event rings and sampling profiler
 # in ./internal/trace, and the fault-injection chaos stress in
 # ./internal/chaos (cancel storms racing revocation-at-take against the
-# admission path under injected stalls).
-RACE_PKGS=". ./internal/chaos ./internal/core ./internal/deque ./internal/dist ./internal/dist/distpar ./internal/msort ./internal/par ./internal/qsort ./internal/query ./internal/ssort ./internal/stats ./internal/trace"
+# admission path under injected stalls). The baseline schedulers
+# (./internal/classic, ./internal/cilk) and the protocol building blocks
+# (./internal/teamsync barriers, ./internal/reg registration words,
+# ./internal/topo, ./internal/backoff) are race-clean and gated too.
+RACE_PKGS=". ./internal/chaos ./internal/core ./internal/deque ./internal/dist ./internal/dist/distpar ./internal/msort ./internal/par ./internal/qsort ./internal/query ./internal/ssort ./internal/stats ./internal/trace ./internal/classic ./internal/cilk ./internal/teamsync ./internal/reg ./internal/topo ./internal/backoff"
 
 # Explicit vet configuration: -tests=true keeps _test.go files in scope (the
 # race-condition regression tests lean on vet's copylocks/atomic checks as
